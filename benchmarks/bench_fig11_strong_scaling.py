@@ -9,10 +9,11 @@ communication dominates.
 
 Executing tensors of bond dimension 70-160 is not possible on this machine,
 so this harness evaluates the *same experiment through the cost model* the
-simulated distributed backend uses (see DESIGN.md, substitution table): the
-per-kernel flop counts and communication volumes of the dominant operations
-are computed from the paper-scale parameters, and the alpha-beta machine
-model produces the execution time for every core count.  The shapes to
+simulated distributed backend uses (see docs/distributed.md, "The cost
+model stays a predictor"): the per-kernel flop counts and communication
+volumes of the dominant operations are computed from the paper-scale
+parameters, and the alpha-beta machine model produces the execution time
+for every core count.  The shapes to
 reproduce are (i) near-ideal scaling at small core counts, (ii) a speed-up
 that saturates and then degrades, and (iii) the larger problem scaling
 further than the smaller one.

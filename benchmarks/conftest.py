@@ -1,7 +1,7 @@
 """Shared configuration for the benchmark harnesses.
 
 Every benchmark module regenerates one table or figure of the paper's
-evaluation section (see DESIGN.md for the experiment index).  The paper's
+evaluation section (see the "Tests and benchmarks" section of README.md).  The paper's
 runs use an 8x8 / 15x15 PEPS with bond dimensions up to 64-280 on the
 Stampede2 supercomputer; on a single-core CI-class machine those sizes are
 infeasible, so by default every harness runs a *scaled-down* sweep that

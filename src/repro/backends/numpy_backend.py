@@ -33,6 +33,16 @@ from repro.utils.flops import (
 )
 from repro.utils.rng import SeedLike, ensure_rng
 
+try:
+    # The per-step kernels ``np.einsum`` runs for an optimized path: batched
+    # matmul for pairs, the C einsum otherwise.  Releases without them
+    # (contracting pairs through ``tensordot``) take the ``np.einsum`` route.
+    from numpy._core.einsumfunc import bmm_einsum, c_einsum
+
+    _KERNELS: Optional[Tuple[Any, Any]] = (bmm_einsum, c_einsum)
+except ImportError:  # pragma: no cover - depends on the NumPy release
+    _KERNELS = None
+
 
 class NumPyBackend(Backend):
     """Backend implementation over plain :class:`numpy.ndarray` tensors."""
@@ -99,14 +109,14 @@ class NumPyBackend(Backend):
     # ------------------------------------------------------------------ #
     def einsum(self, subscripts: str, *operands: np.ndarray) -> np.ndarray:
         shapes = tuple(tuple(int(s) for s in op.shape) for op in operands)
-        path = _cached_einsum_path(subscripts, shapes)
+        plan = _cached_einsum_path(subscripts, shapes)
         # Hottest call site in the library: the explicit `active` guard keeps
         # the disabled-tracing path free of even the span-argument dict.
         if _TRACER.active:
             with _TRACER.span("einsum", subscripts=subscripts):
-                result = np.einsum(subscripts, *operands, optimize=path)
+                result = _run_einsum(subscripts, operands, plan)
         else:
-            result = np.einsum(subscripts, *operands, optimize=path)
+            result = _run_einsum(subscripts, operands, plan)
         if self.flop_counter is not None:
             flops = _cached_einsum_flops(subscripts, shapes)
             if flops is None:
@@ -118,12 +128,12 @@ class NumPyBackend(Backend):
         return result
 
     def einsum_batched(self, subscripts: str, *operands: np.ndarray) -> np.ndarray:
-        """One fused ``np.einsum`` over the whole batch with a cached path.
+        """One fused einsum over the whole batch with a cached plan.
 
         Operands whose batch axis has size 1 are squeezed and treated as
         unbatched (the path planner then sees them as shared factors instead
         of broadcast copies); the rest share one extra batch label.  The
-        rewritten subscripts reuse the same LRU path cache as :meth:`einsum`,
+        rewritten subscripts reuse the same LRU plan cache as :meth:`einsum`,
         so lockstep hot loops plan each (subscripts, shapes) combination once.
         """
         shapes = [tuple(int(s) for s in op.shape) for op in operands]
@@ -138,14 +148,14 @@ class NumPyBackend(Backend):
             for op, dim in zip(operands, batch_dims)
         ]
         op_shapes = tuple(tuple(int(s) for s in op.shape) for op in ops)
-        path = _cached_einsum_path(batched_subscripts, op_shapes)
+        plan = _cached_einsum_path(batched_subscripts, op_shapes)
         if _TRACER.active:
             with _TRACER.span(
                 "einsum_batched", subscripts=subscripts, batch=batch
             ):
-                result = np.einsum(batched_subscripts, *ops, optimize=path)
+                result = _run_einsum(batched_subscripts, ops, plan)
         else:
-            result = np.einsum(batched_subscripts, *ops, optimize=path)
+            result = _run_einsum(batched_subscripts, ops, plan)
         if self.flop_counter is not None:
             flops = _cached_einsum_flops(batched_subscripts, op_shapes)
             if flops is None:
@@ -223,18 +233,46 @@ _PATH_PROBE = np.empty((), dtype=np.complex128)
 
 @lru_cache(maxsize=4096)
 def _cached_einsum_path(subscripts: str, shapes: Tuple[Tuple[int, ...], ...]):
-    """Contraction path for ``(subscripts, shapes)``, planned once and reused.
+    """Contraction plan for ``(subscripts, shapes)``, made once and reused.
 
     The einsum calls inside the boundary-contraction hot loops repeat the same
     few subscript/shape combinations thousands of times; re-planning the path
-    on every call (``optimize=True``) is measurable overhead.
+    on every call (``optimize=True``) is measurable overhead, and so is the
+    contraction list ``np.einsum`` re-derives from even an explicit path.
+
+    Returns ``(path, steps)``: the greedy path and the contraction list NumPy
+    derives from it as ``((positions, step_subscripts), ...)``.  ``steps`` is
+    ``None`` when this NumPy lacks the per-step kernels or the planner
+    rejected the subscripts; :func:`_run_einsum` then calls ``np.einsum``.
     """
     probes = [np.broadcast_to(_PATH_PROBE, shape) for shape in shapes]
     try:
-        return np.einsum_path(subscripts, *probes, optimize="greedy")[0]
+        path = np.einsum_path(subscripts, *probes, optimize="greedy")[0]
     except Exception:
         # Exotic subscripts the planner rejects: let numpy decide per call.
-        return True
+        return True, None
+    if _KERNELS is None:
+        return path, None
+    _, contraction = np.einsum_path(subscripts, *probes, optimize=path, einsum_call=True)
+    return path, tuple((positions, step) for positions, step, _ in contraction)
+
+
+def _run_einsum(subscripts: str, operands: Sequence[np.ndarray], plan) -> np.ndarray:
+    """``np.einsum(subscripts, *operands, optimize=path)`` from a cached plan.
+
+    With recorded steps, replays them on the kernels ``np.einsum`` itself
+    would call, in its order, so results are bitwise identical without
+    re-deriving the contraction list.
+    """
+    path, steps = plan
+    if steps is None:
+        return np.einsum(subscripts, *operands, optimize=path)
+    bmm, single = _KERNELS
+    operands = list(operands)
+    for positions, step in steps:
+        args = [operands.pop(x) for x in positions]
+        operands.append(bmm(step, *args) if len(args) == 2 else single(step, *args))
+    return operands[0]
 
 
 @lru_cache(maxsize=4096)
@@ -258,29 +296,37 @@ def _cached_einsum_flops(
         return None
 
 
-def path_cache_stats() -> dict:
-    """Hit/miss/size counters of the einsum path and flop-estimate caches.
+def _plan_caches() -> dict:
+    # Deferred import: the network contractor lives above the backend layer.
+    from repro.tensornetwork.network import _plan
 
-    Benchmarks read these to report how well repeated hot-loop contractions
-    amortize their path planning (a lockstep sampler should show almost-all
-    hits after the first site of the first row).
+    return {"path": _cached_einsum_path, "flops": _cached_einsum_flops, "network": _plan}
+
+
+def path_cache_stats() -> dict:
+    """Hit/miss/size counters of the einsum path, flop-estimate and network plan caches.
+
+    ``"path"`` counts one lookup per ``einsum``/``einsum_batched`` call and
+    ``"network"`` one per ``contract_network`` call.  Benchmarks read these
+    to report how well repeated hot-loop contractions amortize their
+    planning (a lockstep sampler should show almost-all hits after the first
+    site of the first row).
     """
-    path = _cached_einsum_path.cache_info()
-    flops = _cached_einsum_flops.cache_info()
-    return {
-        "path": {"hits": path.hits, "misses": path.misses, "size": path.currsize},
-        "flops": {"hits": flops.hits, "misses": flops.misses, "size": flops.currsize},
-    }
+    stats = {}
+    for name, cache in _plan_caches().items():
+        info = cache.cache_info()
+        stats[name] = {"hits": info.hits, "misses": info.misses, "size": info.currsize}
+    return stats
 
 
 def clear_path_caches() -> None:
-    """Drop every cached einsum path and flop estimate (and their counters).
+    """Drop every cached einsum path, flop estimate and network plan (and their counters).
 
     Call between benchmark measurements so path-planning cost and cache-hit
     counts are attributed to the measured phase, reproducibly across runs.
     """
-    _cached_einsum_path.cache_clear()
-    _cached_einsum_flops.cache_clear()
+    for cache in _plan_caches().values():
+        cache.cache_clear()
 
 
 def _normalize_tensordot_axes(ndim_a: int, axes) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:

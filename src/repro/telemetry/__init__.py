@@ -44,10 +44,10 @@ __all__ = [
 
 
 def global_snapshot():
-    """Snapshot the global registry *plus* the einsum path-cache stats.
+    """Snapshot the global registry *plus* the einsum and network plan-cache stats.
 
-    The NumPy backend's einsum path/flops caches are ``functools.lru_cache``
-    objects; their hit/miss counts are read here on demand (as gauges —
+    The NumPy backend's einsum path/flops caches and the ``contract_network``
+    plan cache are ``functools.lru_cache`` objects; their hit/miss counts are read here on demand (as gauges —
     ``lru_cache`` owns the counters, the registry only mirrors them), so one
     call captures every process-global counter in the library.
     """
