@@ -13,6 +13,7 @@ the Table II benchmark).
 
 from __future__ import annotations
 
+import sys
 from functools import lru_cache
 from typing import Any, Optional, Sequence, Tuple
 
@@ -240,6 +241,14 @@ def _cached_einsum_path(subscripts: str, shapes: Tuple[Tuple[int, ...], ...]):
     on every call (``optimize=True``) is measurable overhead, and so is the
     contraction list ``np.einsum`` re-derives from even an explicit path.
 
+    The path is NumPy's greedy path with no memory cap.  By default
+    ``einsum_path`` caps every intermediate at the size of the largest
+    operand; where that cap binds, greedy stops early and leaves the rest to
+    one multi-operand C einsum loop without BLAS.  That is what the batched
+    lockstep-sampling contractions hit: their batch axis makes the natural
+    pairwise intermediates larger than any single operand.  The limit must be
+    an integer: NumPy casts it to ``int``, so ``float("inf")`` would raise.
+
     Returns ``(path, steps)``: the greedy path and the contraction list NumPy
     derives from it as ``((positions, step_subscripts), ...)``.  ``steps`` is
     ``None`` when this NumPy lacks the per-step kernels or the planner
@@ -247,7 +256,7 @@ def _cached_einsum_path(subscripts: str, shapes: Tuple[Tuple[int, ...], ...]):
     """
     probes = [np.broadcast_to(_PATH_PROBE, shape) for shape in shapes]
     try:
-        path = np.einsum_path(subscripts, *probes, optimize="greedy")[0]
+        path = np.einsum_path(subscripts, *probes, optimize=("greedy", sys.maxsize))[0]
     except Exception:
         # Exotic subscripts the planner rejects: let numpy decide per call.
         return True, None

@@ -113,7 +113,9 @@ class ServeDaemon:
         self._work = threading.Condition(self._lock)
         self._pending: List[str] = []
         self._shutdown = threading.Event()
-        self._child: Optional[subprocess.Popen] = None
+        # The running child until it has been sent its one SIGTERM: popped
+        # (atomically under the GIL) by whichever stop path gets there first.
+        self._unsignalled: List[subprocess.Popen] = []
         self._child_job: Optional[str] = None
         self._server: Optional[ThreadingHTTPServer] = None
         self._executor: Optional[threading.Thread] = None
@@ -201,14 +203,27 @@ class ServeDaemon:
     def request_shutdown(self) -> None:
         """Initiate a graceful stop (signal-handler and API safe)."""
         self._shutdown.set()
-        child = self._child
-        if child is not None and child.poll() is None:
+        self._forward_sigterm()
+        with self._work:
+            self._work.notify_all()
+
+    def _forward_sigterm(self) -> None:
+        """SIGTERM the running child, at most once per child.
+
+        The child checkpoints and exits on its first SIGTERM; a second one
+        would re-enter its stop handler, or kill it outright once that
+        handler has restored the default.  The shutdown request, :meth:`stop`
+        and the spawn race in the executor all forward through here.
+        """
+        try:
+            child = self._unsignalled.pop()
+        except IndexError:
+            return
+        if child.poll() is None:
             try:
                 child.send_signal(signal.SIGTERM)
             except OSError:  # pragma: no cover - racing child exit
                 pass
-        with self._work:
-            self._work.notify_all()
 
     def wait(self, poll_seconds: float = 0.2) -> int:
         """Block until shutdown is requested and drained; returns exit code."""
@@ -224,12 +239,7 @@ class ServeDaemon:
         terminal state.
         """
         self._shutdown.set()
-        child = self._child
-        if child is not None and child.poll() is None:
-            try:
-                child.send_signal(signal.SIGTERM)
-            except OSError:  # pragma: no cover - racing child exit
-                pass
+        self._forward_sigterm()
         if self._executor is not None:
             self._executor.join(timeout=120)
         if self._server is not None:
@@ -399,11 +409,11 @@ class ServeDaemon:
                     child = subprocess.Popen(
                         self._command(job), stdout=log_handle, stderr=log_handle
                     )
-                    self._child, self._child_job = child, job_id
+                    self._unsignalled, self._child_job = [child], job_id
                     # A shutdown that raced the spawn must still reach the
                     # child, or the daemon would block on a full run.
-                    if self._shutdown.is_set() and child.poll() is None:
-                        child.send_signal(signal.SIGTERM)
+                    if self._shutdown.is_set():
+                        self._forward_sigterm()
                     code = child.wait()
             except OSError as exc:  # pragma: no cover - spawn failure
                 code = None
@@ -413,7 +423,7 @@ class ServeDaemon:
                     self._save_job(job)
                 continue
             finally:
-                self._child, self._child_job = None, None
+                self._unsignalled, self._child_job = [], None
             elapsed = time.perf_counter() - start
             with self._lock:
                 job["exit_code"] = code

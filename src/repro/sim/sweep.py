@@ -698,7 +698,6 @@ class Sweep:
         self.aggregate = aggregate
         self._entries: Dict[str, Dict[str, Any]] = {}
         self._stop_requested = False
-        self._stop_event = None
         self._workers: List[Any] = []
         self._current_simulation: Optional[Simulation] = None
         self._active_executor = self.spec.executor
@@ -710,16 +709,15 @@ class Sweep:
     def request_stop(self) -> None:
         """Stop dispatching new points and interrupt the in-flight ones.
 
-        Safe to call from a signal handler.  Serial runs forward the request
-        to the current :class:`Simulation`; pool runs set the shared stop
-        event and SIGTERM every live worker, whose handler does the same.
+        Safe to call from a signal handler: it only sets flags and signals
+        processes, and takes no lock.  Serial runs forward the request to the
+        current :class:`Simulation`; pool runs SIGTERM every live worker,
+        whose handler sets its own flag.  The pool's dispatch loop polls
+        :attr:`_stop_requested` and sets the shared stop event itself.
         In-flight points finish their step, checkpoint and report
         ``interrupted``; the sweep resumes them with ``resume=True`` later.
         """
         self._stop_requested = True
-        event = self._stop_event
-        if event is not None:
-            event.set()
         simulation = self._current_simulation
         if simulation is not None:
             simulation.request_stop()
@@ -998,7 +996,6 @@ class Sweep:
         task_queue = context.Queue()
         result_queue = context.Queue()
         stop_event = context.Event()
-        self._stop_event = stop_event
         if self._stop_requested:  # raced a signal during setup
             stop_event.set()
         n_workers = max(1, min(jobs, len(tasks)))
@@ -1088,7 +1085,6 @@ class Sweep:
             result_queue.close()
             result_queue.cancel_join_thread()
             self._workers = []
-            self._stop_event = None
 
         if self._stop_requested or pending or in_flight > 0:
             interrupted = True

@@ -6,6 +6,8 @@ the contraction list ``np.einsum`` derives from a cached path.  Both must
 give results bitwise identical to planning afresh.
 """
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,6 +32,10 @@ BACKEND = NumPyBackend()
 
 #: These tests contract real tensors: keep the example counts modest.
 FAST = settings(max_examples=40, deadline=None)
+
+#: NumPy's greedy planner with no intermediate size limit: the planner the
+#: backend's path cache must match, spelled out independently of it.
+UNCAPPED = ("greedy", sys.maxsize)
 
 
 def assert_bitwise(actual, expected):
@@ -207,7 +213,7 @@ def operands_for(shapes, seed=3):
 @pytest.mark.parametrize("subscripts,shapes", EINSUM_CASES)
 def test_einsum_replay_is_bitwise_numpy(subscripts, shapes, kernels):
     ops = operands_for(shapes)
-    path = np.einsum_path(subscripts, *ops, optimize="greedy")[0]
+    path = np.einsum_path(subscripts, *ops, optimize=UNCAPPED)[0]
     expected = np.einsum(subscripts, *ops, optimize=path)
     assert_bitwise(BACKEND.einsum(subscripts, *ops), expected)
     # Second call: served by the cached plan.
@@ -226,10 +232,39 @@ def test_einsum_batched_replay_is_bitwise_numpy(subscripts, shapes, kernels):
     _, _, batch_dims, _ = parse_batched_subscripts(subscripts, [op.shape for op in ops])
     rewritten, _ = rewrite_batched_subscripts(subscripts, batch_dims)
     fused = [op[0] if dim == 1 else op for op, dim in zip(ops, batch_dims)]
-    path = np.einsum_path(rewritten, *fused, optimize="greedy")[0]
+    path = np.einsum_path(rewritten, *fused, optimize=UNCAPPED)[0]
     expected = np.einsum(rewritten, *fused, optimize=path)
     assert_bitwise(BACKEND.einsum_batched(subscripts, *ops), expected)
     assert_bitwise(BACKEND.einsum_batched(subscripts, *ops), expected)
+
+
+#: The lockstep sampler's batched site-density contraction at the 3x3 CTM
+#: benchmark's shapes (32 shots, boundary bond 4, bond dimension 2), as
+#: ``einsum_batched`` rewrites it: ``c`` is the batch label, and the
+#: size-1-batched site and lower-boundary tensors are squeezed.
+SITE_DENSITY = "aefb,auwx,puedg,qwfhs,bdhy,xgsy->qp"
+SITE_DENSITY_BATCHED = "caefb,cauwx,puedg,qwfhs,bdhy,cxgsy->cqp"
+SITE_DENSITY_SHAPES = (
+    (32, 4, 2, 2, 4), (32, 4, 2, 2, 4), (2, 2, 2, 2, 2),
+    (2, 2, 2, 2, 2), (4, 2, 2, 4), (32, 4, 2, 2, 4),
+)
+
+
+def test_batched_site_density_is_planned_as_blas_pairs(kernels):
+    # NumPy's default memory cap (the largest operand) binds here and leaves
+    # a multi-operand C loop; uncapped, every step is a pairwise contraction.
+    ops = operands_for(SITE_DENSITY_SHAPES)
+    path, steps = numpy_backend._cached_einsum_path(SITE_DENSITY_BATCHED, SITE_DENSITY_SHAPES)
+    assert path == np.einsum_path(SITE_DENSITY_BATCHED, *ops, optimize=UNCAPPED)[0]
+    assert path != np.einsum_path(SITE_DENSITY_BATCHED, *ops, optimize="greedy")[0]
+    if kernels == "replay" and numpy_backend._KERNELS is not None:
+        assert steps is not None
+        assert all(len(positions) == 2 for positions, _ in steps if len(positions) > 1)
+    expected = np.einsum(SITE_DENSITY_BATCHED, *ops, optimize=path)
+    assert_bitwise(BACKEND.einsum(SITE_DENSITY_BATCHED, *ops), expected)
+    # The sampler's own call: shared operands carry a size-1 batch axis.
+    batched = [op if op.shape[0] == 32 else op[np.newaxis] for op in ops]
+    assert_bitwise(BACKEND.einsum_batched(SITE_DENSITY, *batched), expected)
 
 
 def test_planner_rejected_subscripts_fall_back_to_numpy(kernels):
