@@ -69,11 +69,10 @@ class ImaginaryTimeEvolution:
         measurement and normalization (default: IBMPS with ``m = r^2``).
     normalize_every:
         Renormalize the PEPS every this many steps (ITE shrinks the norm).
-    reuse_environment:
-        Attach one :mod:`~repro.peps.envs` environment to the evolving state
-        for the whole sweep (default).  Normalization and energy measurement
-        then share a single pair of boundary sweeps per step — strictly fewer
-        row absorptions than the legacy per-step rebuilds (``False``).
+
+    The evolving state carries one :mod:`~repro.peps.envs` environment built
+    from ``contract_option`` for the whole sweep, so normalization and energy
+    measurement share a single pair of boundary sweeps per step.
     """
 
     def __init__(
@@ -83,7 +82,6 @@ class ImaginaryTimeEvolution:
         update_option: Optional[UpdateOption] = None,
         contract_option: Optional[ContractOption] = None,
         normalize_every: int = 1,
-        reuse_environment: bool = True,
     ) -> None:
         self.hamiltonian = hamiltonian
         self.tau = float(tau)
@@ -93,7 +91,6 @@ class ImaginaryTimeEvolution:
             contract_option = BMPS(ImplicitRandomizedSVD(rank=rank * rank, seed=0))
         self.contract_option = contract_option
         self.normalize_every = max(1, int(normalize_every))
-        self.reuse_environment = bool(reuse_environment)
         self._gates = hamiltonian.trotter_gates(-self.tau)
 
     def initial_state(self, backend="numpy") -> PEPS:
@@ -121,16 +118,16 @@ class ImaginaryTimeEvolution:
         This is the unit of progress shared by :meth:`run` and the simulation
         runner (:mod:`repro.sim`): checkpointing between ``advance`` calls and
         replaying the remaining calls reproduces an uninterrupted run
-        float-for-float.  ``step_index`` is 1-based.
+        float-for-float.  ``step_index`` is 1-based.  A state without an
+        environment gets one built from ``contract_option``.
         """
+        if state.environment is None:
+            state.attach_environment(self.contract_option)
         state = self.step(state)
         if step_index % self.normalize_every == 0:
-            if self.reuse_environment and state.environment is not None:
-                # No explicit option: the attached environment (built from
-                # self.contract_option) serves the norm from its caches.
-                state.normalize_()
-            else:
-                state = state.normalize(self.contract_option)
+            # No explicit option: the attached environment serves the norm
+            # from its caches.
+            state.normalize_()
         return state
 
     def energy(self, state: PEPS, use_cache: bool = True) -> float:
@@ -153,15 +150,13 @@ class ImaginaryTimeEvolution:
     ) -> ITEResult:
         """Run ``n_steps`` of ITE, measuring the energy every ``measure_every`` steps.
 
-        With ``reuse_environment=True`` the returned ``ITEResult.state`` keeps
-        its (possibly truncated) environment attached, so default-option
-        queries on it reuse the sweep's contraction option; call
-        ``state.detach_environment()`` to measure with other defaults.
+        The returned ``ITEResult.state`` keeps its (possibly truncated)
+        environment attached, so default-option queries on it reuse the
+        sweep's contraction option; call ``state.detach_environment()`` to
+        measure with other defaults.
         """
         state = initial_state if initial_state is not None else self.initial_state(backend)
-        state = state.copy()
-        if self.reuse_environment:
-            state.attach_environment(self.contract_option)
+        state = state.copy()  # a copy carries no environment; advance attaches one
         energies: List[float] = []
         measured: List[int] = []
         for step_index in range(1, n_steps + 1):

@@ -88,10 +88,6 @@ class PauliString:
     def __neg__(self) -> "PauliString":
         return self * (-1.0)
 
-    def hermitian_conjugate(self) -> "PauliString":
-        """Pauli strings are Hermitian up to the coefficient."""
-        return PauliString(self.paulis, np.conj(self.coefficient))
-
     def __repr__(self) -> str:
         if not self.paulis:
             return f"{self.coefficient} * I"

@@ -23,9 +23,8 @@ work the batched contraction engine amortizes.
 
 The counters live in the process-global
 :data:`repro.telemetry.REGISTRY` under ``peps.*`` names; the functions here
-are the stable module API over it.  Prefer :func:`reset_all` over the
-per-counter resets when starting a measurement window — it also clears
-counters this module does not know about.
+are the stable module API over it.  :func:`reset_all` starts a measurement
+window.
 """
 
 from __future__ import annotations
@@ -49,10 +48,6 @@ def absorption_count() -> int:
     return _ROW_ABSORPTIONS.value
 
 
-def reset_absorption_count() -> None:
-    _ROW_ABSORPTIONS._set(0)
-
-
 def count_ctm_move(n: int = 1) -> None:
     """Record ``n`` corner-transfer-matrix moves."""
     _CTM_MOVES.add(n)
@@ -61,10 +56,6 @@ def count_ctm_move(n: int = 1) -> None:
 def ctm_move_count() -> int:
     """Total CTM moves (directional corner/edge absorptions) since reset."""
     return _CTM_MOVES.value
-
-
-def reset_ctm_move_count() -> None:
-    _CTM_MOVES._set(0)
 
 
 def count_batched_contraction(n: int = 1) -> None:
@@ -77,10 +68,6 @@ def batched_contraction_count() -> int:
     return _BATCHED_CONTRACTIONS.value
 
 
-def reset_batched_contraction_count() -> None:
-    _BATCHED_CONTRACTIONS._set(0)
-
-
 def count_strip_cache_hit(n: int = 1) -> None:
     """Record ``n`` strip-environment cache hits."""
     _STRIP_CACHE_HITS.add(n)
@@ -89,10 +76,6 @@ def count_strip_cache_hit(n: int = 1) -> None:
 def strip_cache_hit_count() -> int:
     """Total observable terms served from cached strip column environments."""
     return _STRIP_CACHE_HITS.value
-
-
-def reset_strip_cache_hit_count() -> None:
-    _STRIP_CACHE_HITS._set(0)
 
 
 def count_strip_cache_miss(n: int = 1) -> None:
@@ -105,15 +88,10 @@ def strip_cache_miss_count() -> int:
     return _STRIP_CACHE_MISSES.value
 
 
-def reset_strip_cache_miss_count() -> None:
-    _STRIP_CACHE_MISSES._set(0)
-
-
 def reset_all() -> None:
     """Zero every global counter (this module's and any other registry metric).
 
-    The one reset to call at the start of a measurement window; it replaces
-    chains of per-counter ``reset_*`` calls and cannot fall out of date when
-    a new counter is added.
+    The one reset to call at the start of a measurement window; it cannot
+    fall out of date when a new counter is added.
     """
     REGISTRY.reset()

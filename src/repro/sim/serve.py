@@ -34,6 +34,7 @@ HTTP API (see ``docs/serve.md`` for the full surface and failure matrix)::
     GET  /v1/jobs/<id>             one job (full record)
     GET  /v1/jobs/<id>/results     the job's results stream (ndjson);
                                    ?since=N skips the first N lines
+                                   (N a non-negative integer, else 400)
     POST /v1/shutdown              graceful stop (in-flight job checkpoints)
 
 :class:`ServeClient` wraps the API with plain :mod:`urllib` calls for tests
@@ -507,7 +508,13 @@ class _Handler(BaseHTTPRequestHandler):
             else:
                 self._send_json(job)
         elif len(route) == 4 and route[:2] == ("v1", "jobs") and route[3] == "results":
-            since = int(self._query().get("since", 0))
+            raw = self._query().get("since", "0")
+            if not (raw.isascii() and raw.isdigit()):
+                self._send_error_json(
+                    400, f"since must be a non-negative integer, got {raw!r}"
+                )
+                return
+            since = int(raw)
             lines = self.serve.results_lines(route[2], since=since)
             if lines is None:
                 self._send_error_json(404, f"no job {route[2]!r}")
@@ -546,15 +553,6 @@ class ServeClient:
     def __init__(self, url: str, timeout: float = 10.0) -> None:
         self.url = url.rstrip("/")
         self.timeout = timeout
-
-    @classmethod
-    def from_directory(
-        cls, directory: Union[str, os.PathLike], timeout: float = 10.0
-    ) -> "ServeClient":
-        """Connect to the daemon owning ``directory`` via its endpoint file."""
-        with open(os.path.join(os.fspath(directory), ENDPOINT_FILENAME)) as handle:
-            endpoint = json.load(handle)
-        return cls(endpoint["url"], timeout=timeout)
 
     # ------------------------------------------------------------------ #
     def _request(

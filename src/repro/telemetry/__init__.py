@@ -3,8 +3,8 @@
 Three pieces, one import point:
 
 * :mod:`repro.telemetry.metrics` — :class:`MetricsRegistry` (named
-  counters/gauges/histograms with labels and snapshot/delta/merge), plus the
-  process-global :data:`REGISTRY` that the legacy counter APIs now shim onto.
+  counters/gauges/histograms with labels and snapshot/delta), plus the
+  process-global :data:`REGISTRY` behind the module-level PEPS counters.
 * :mod:`repro.telemetry.trace` — span tracing (:func:`span` context manager,
   :func:`traced` decorator, the global :data:`TRACER`) emitting Chrome
   trace-event JSON viewable in Perfetto.
@@ -22,7 +22,6 @@ from repro.telemetry.metrics import (
     Histogram,
     MetricsRegistry,
     REGISTRY,
-    global_registry,
 )
 from repro.telemetry.trace import TRACER, Tracer, span, traced
 from repro.telemetry import trace
@@ -33,7 +32,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "REGISTRY",
-    "global_registry",
     "TRACER",
     "Tracer",
     "span",

@@ -1,14 +1,4 @@
-"""One metrics registry for every counter in the library.
-
-Historically the repo grew five disconnected instrumentation mechanisms:
-module-global counters in :mod:`repro.peps.contraction.stats`, the
-:class:`~repro.utils.flops.FlopCounter`, per-environment
-:class:`~repro.peps.envs.base.EnvStats`, :class:`~repro.utils.timer.Timer`,
-and the distributed backend's
-:class:`~repro.backends.distributed.cost_model.ExecutionStats` — each with
-its own reset function and no shared export path.  This module is the single
-source of truth they now all write through (their public APIs are preserved
-as thin shims over a registry).
+"""One metrics registry for the library's process-wide counters.
 
 A :class:`MetricsRegistry` owns named metrics of three kinds:
 
@@ -23,20 +13,23 @@ Metrics are identified by a name plus optional string labels
 for the same identity.  Every mutation happens under the registry's lock, so
 a registry is safe to share between threads.
 
-The snapshot/delta/merge trio is what the run/sweep lifecycle builds on::
+The run/sweep lifecycle measures a window of work with a snapshot and a
+delta::
 
     before = registry.snapshot()        # cheap: flat dict of plain numbers
     ... do work ...
     registry.delta(before)              # what changed, zeros dropped
-    parent_registry.merge(snapshot)     # fold a worker's counters in
 
 Snapshots are plain JSON-serializable dicts keyed by the metric's flat name
-(``"flops{category=einsum}"``), so they cross process boundaries as-is —
-sweep workers snapshot their registry and the parent merges.
+(``"flops{category=einsum}"``).  The runner writes per-step deltas into
+result records as-is; a sweep worker takes the delta of its own process's
+registry around each point and reports the point's counts in the manifest.
 
-:data:`REGISTRY` is the process-global default registry; scoped consumers
-(``EnvStats``, ``FlopCounter``, ``ExecutionStats``) hold private registries
-so per-object statistics stay independent, exactly as before.
+:data:`REGISTRY` is the process-global default registry: the module-level
+counters of :mod:`repro.peps.contraction.stats`, the queue, sweep and
+``serve`` counters live there.  The distributed backend's
+:class:`~repro.backends.distributed.cost_model.ExecutionStats` holds a
+private registry so per-backend statistics stay independent.
 """
 
 from __future__ import annotations
@@ -46,27 +39,12 @@ from typing import Dict, Iterator, Optional, Tuple, Union
 
 Number = Union[int, float]
 
-#: Flat-name suffix separating histogram component fields, as in
-#: ``"step_seconds:count"``.
-_HIST_FIELDS = ("count", "sum", "min", "max")
-
 
 def _flat_name(name: str, labels: Tuple[Tuple[str, str], ...]) -> str:
     if not labels:
         return name
     inner = ",".join(f"{k}={v}" for k, v in labels)
     return f"{name}{{{inner}}}"
-
-
-def parse_flat_name(flat: str) -> Tuple[str, Tuple[Tuple[str, str], ...]]:
-    """Invert :func:`_flat_name`: ``"a{k=v}" -> ("a", (("k", "v"),))``."""
-    if not flat.endswith("}") or "{" not in flat:
-        return flat, ()
-    name, _, inner = flat.partition("{")
-    labels = tuple(
-        tuple(pair.split("=", 1)) for pair in inner[:-1].split(",") if pair
-    )
-    return name, labels  # type: ignore[return-value]
 
 
 class Counter:
@@ -91,7 +69,7 @@ class Counter:
         return self._value
 
     def _set(self, value: Number) -> None:
-        """Registry-internal: restore a value (reset / merge)."""
+        """Overwrite the value (deep copies and attribute-style setters)."""
         with self._lock:
             self._value = value
 
@@ -125,7 +103,7 @@ class Histogram:
     """Moment aggregates (count/sum/min/max) of observed values.
 
     Deliberately bucket-free: the consumers here need totals and extremes,
-    and four plain numbers snapshot/merge trivially.
+    and four plain numbers snapshot trivially.
     """
 
     kind = "histogram"
@@ -167,7 +145,7 @@ MetricKey = Tuple[str, Tuple[Tuple[str, str], ...]]
 
 
 class MetricsRegistry:
-    """Named counters/gauges/histograms with snapshot/delta/merge semantics."""
+    """Named counters/gauges/histograms with snapshot/delta semantics."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
@@ -218,7 +196,7 @@ class MetricsRegistry:
             yield _flat_name(*key), metric
 
     # ------------------------------------------------------------------ #
-    # Snapshot / delta / merge / reset
+    # Snapshot / delta / reset
     # ------------------------------------------------------------------ #
     def snapshot(self) -> Dict[str, Number]:
         """A flat, JSON-serializable view of every metric.
@@ -263,52 +241,14 @@ class MetricsRegistry:
                     out[flat] = metric.value
         return out
 
-    def merge(self, snapshot: Dict[str, Number]) -> None:
-        """Fold a snapshot (typically from another process) into this registry.
-
-        Counter and histogram count/sum values add; gauges and histogram
-        min/max take the extremum — so merging N worker snapshots yields the
-        same totals as if one process had done all the work.
-        """
-        hist_parts: Dict[str, Dict[str, Number]] = {}
-        for flat, value in snapshot.items():
-            base, _, field = flat.rpartition(":")
-            if field in _HIST_FIELDS and base:
-                hist_parts.setdefault(base, {})[field] = value
-                continue
-            name, labels = parse_flat_name(flat)
-            key = (name, labels)
-            metric = self._metrics.get(key)
-            if isinstance(metric, Gauge) or (
-                metric is None and flat.endswith("_peak")
-            ):
-                self.gauge(name, **dict(labels)).update_max(value)
-            else:
-                self.counter(name, **dict(labels)).add(value)
-        for base, fields in hist_parts.items():
-            name, labels = parse_flat_name(base)
-            hist = self.histogram(name, **dict(labels))
-            with self._lock:
-                hist.count += int(fields.get("count", 0))
-                hist.sum += float(fields.get("sum", 0.0))
-                for field, better in (("min", min), ("max", max)):
-                    if field in fields:
-                        current = getattr(hist, field)
-                        setattr(
-                            hist,
-                            field,
-                            fields[field]
-                            if current is None
-                            else better(current, fields[field]),
-                        )
-
     def __deepcopy__(self, memo) -> "MetricsRegistry":
         """A faithful clone with fresh locks.
 
-        Locks are not copyable, but registry holders (a live ``Backend``
-        with a ``FlopCounter`` inside a ``RunSpec``, say) flow through
-        ``copy.deepcopy`` / ``dataclasses.asdict`` — so clone by value:
-        same metric identities and kinds, independent mutation.
+        Locks are not copyable, but registry holders (a distributed
+        ``Backend`` inside a ``RunSpec``, whose ``ExecutionStats`` holds a
+        registry) flow through ``copy.deepcopy`` / ``dataclasses.asdict`` —
+        so clone by value: same metric identities and kinds, independent
+        mutation.
         """
         clone = MetricsRegistry()
         with self._lock:
@@ -342,6 +282,3 @@ class MetricsRegistry:
 #: lifecycle snapshots it around steps and points.
 REGISTRY = MetricsRegistry()
 
-
-def global_registry() -> MetricsRegistry:
-    return REGISTRY

@@ -14,7 +14,7 @@ meant to match hardware counters exactly, only to preserve relative scaling.
 from __future__ import annotations
 
 from math import prod
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, Iterable, Sequence
 
 
 def matmul_flops(m: int, k: int, n: int, complex_dtype: bool = True) -> float:
@@ -77,41 +77,33 @@ class FlopCounter:
 
     The NumPy backend can optionally be wrapped with a counter so that the
     Table II benchmark measures *algorithmic* cost independently of machine
-    noise; the distributed backend always feeds one.
-
-    The totals live in a private per-counter
-    :class:`~repro.telemetry.metrics.MetricsRegistry` as labeled counters
-    (``flops{category=einsum}`` / ``calls{category=einsum}``); the public API
-    is unchanged and insertion-ordered like the dict-backed original.
+    noise (the distributed backend counts its flops in ``ExecutionStats``).
+    Categories are reported in the order they were first added.
     """
 
     def __init__(self) -> None:
-        from repro.telemetry.metrics import MetricsRegistry
-
-        self.registry = MetricsRegistry()
-        self._categories: List[str] = []
+        self._flops: Dict[str, float] = {}
+        self._calls: Dict[str, int] = {}
 
     def add(self, category: str, flops: float, calls: int = 1) -> None:
         if flops < 0:
             raise ValueError(f"negative flop count: {flops}")
-        if category not in self._categories:
-            self._categories.append(category)
-        self.registry.counter("flops", category=category).add(float(flops))
-        self.registry.counter("calls", category=category).add(int(calls))
+        if calls < 0:
+            raise ValueError(f"negative call count: {calls}")
+        self._flops[category] = self._flops.get(category, 0) + float(flops)
+        self._calls[category] = self._calls.get(category, 0) + int(calls)
 
     @property
     def total(self) -> float:
-        return sum(self.by_category().values())
+        return sum(self._flops.values())
 
     @property
     def total_calls(self) -> int:
         """Number of counted backend operations (one batched call counts once)."""
-        return sum(self.calls_by_category().values())
+        return sum(self._calls.values())
 
     def by_category(self) -> Dict[str, float]:
-        return {
-            c: self.registry.value("flops", category=c) for c in self._categories
-        }
+        return dict(self._flops)
 
     def calls_by_category(self) -> Dict[str, int]:
         """Per-category call counts — the batching benchmarks compare these.
@@ -120,16 +112,14 @@ class FlopCounter:
         into one ``"einsum_batched"`` call, so the call counts (unlike the
         flop totals) shrink with the batch size.
         """
-        return {
-            c: self.registry.value("calls", category=c) for c in self._categories
-        }
+        return dict(self._calls)
 
     def reset(self) -> None:
-        self.registry.reset()
-        self._categories.clear()
+        self._flops.clear()
+        self._calls.clear()
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        parts = ", ".join(f"{k}={v:.3g}" for k, v in sorted(self._totals.items()))
+    def __repr__(self) -> str:
+        parts = ", ".join(f"{k}={v:.3g}" for k, v in sorted(self._flops.items()))
         return f"FlopCounter(total={self.total:.3g}, {parts})"
 
 

@@ -116,6 +116,18 @@ class TestDaemonLifecycle:
         assert tail == lines[-1:]
         assert next_line == len(lines)
 
+    def test_bad_since_rejected_daemon_survives(self, daemon):
+        _, client, _ = daemon
+        job = client.submit_run(RUN_SPEC)
+        for since in ("abc", "-1", "1.5"):
+            status, body, _ = client._request(
+                "GET", f"/v1/jobs/{job['id']}/results?since={since}"
+            )
+            assert status == 400, since
+            assert "since" in json.loads(body)["error"]
+        assert client.health()["status"] == "ok"
+        client.wait(job["id"], timeout=120)
+
     def test_bad_submission_rejected_daemon_survives(self, daemon):
         _, client, _ = daemon
         with pytest.raises(RuntimeError, match="400"):

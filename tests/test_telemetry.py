@@ -8,12 +8,7 @@ import pytest
 from repro.sim import RunSpec, Simulation
 from repro.sim.__main__ import main
 from repro.telemetry import global_snapshot
-from repro.telemetry.metrics import (
-    REGISTRY,
-    Gauge,
-    MetricsRegistry,
-    parse_flat_name,
-)
+from repro.telemetry.metrics import REGISTRY, MetricsRegistry
 from repro.telemetry.report import (
     classify,
     render,
@@ -124,29 +119,6 @@ class TestMetricsRegistry:
         registry.gauge("level").set(9)
         assert registry.delta(mark) == {"level": 9}
 
-    def test_merge_adds_counters_and_maxes_gauges(self):
-        worker = MetricsRegistry()
-        worker.counter("ops", category="einsum").add(10)
-        worker.gauge("bytes_peak").update_max(100)
-        worker.histogram("dur").observe(2.0)
-        parent = MetricsRegistry()
-        parent.counter("ops", category="einsum").add(5)
-        parent.gauge("bytes_peak").update_max(400)
-        parent.histogram("dur").observe(1.0)
-        parent.merge(worker.snapshot())
-        assert parent.value("ops", category="einsum") == 15
-        assert parent.value("bytes_peak") == 400
-        hist = parent.histogram("dur")
-        assert hist.count == 2 and hist.sum == 3.0
-        assert hist.min == 1.0 and hist.max == 2.0
-
-    def test_merge_unseen_peak_name_becomes_gauge(self):
-        parent = MetricsRegistry()
-        parent.merge({"dist.tensor_bytes_peak": 7})
-        parent.merge({"dist.tensor_bytes_peak": 3})
-        assert parent.value("dist.tensor_bytes_peak") == 7
-        assert isinstance(parent.gauge("dist.tensor_bytes_peak"), Gauge)
-
     def test_reset_zeroes_in_place_keeping_identities(self):
         registry = MetricsRegistry()
         counter = registry.counter("n")
@@ -158,10 +130,6 @@ class TestMetricsRegistry:
         assert hist.count == 0 and hist.min is None
         counter.add(1)  # the held reference is still live
         assert registry.value("n") == 1
-
-    def test_parse_flat_name_round_trip(self):
-        assert parse_flat_name("plain") == ("plain", ())
-        assert parse_flat_name("m{a=1,b=2}") == ("m", (("a", "1"), ("b", "2")))
 
     def test_thread_safety_under_contention(self):
         registry = MetricsRegistry()
@@ -179,8 +147,9 @@ class TestMetricsRegistry:
         assert counter.value == 4000
 
     def test_deepcopy_clones_values_with_fresh_locks(self):
-        # A live Backend (FlopCounter inside) flows through dataclasses.asdict
-        # when a RunSpec is serialized; the registry must survive deepcopy.
+        # A distributed Backend (ExecutionStats inside) flows through
+        # dataclasses.asdict when a RunSpec is serialized; the registry must
+        # survive deepcopy.
         import copy
 
         registry = MetricsRegistry()
@@ -481,7 +450,6 @@ class TestStatsShims:
         stats.ctm_moves += 5
         assert stats.row_absorptions == 2
         assert stats.ctm_moves == 5
-        assert stats.registry.value("env.ctm_moves") == 5
         assert stats.as_dict()["ctm_moves"] == 5
         stats.reset()
         assert stats.ctm_moves == 0
